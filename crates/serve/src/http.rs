@@ -230,6 +230,7 @@ impl Response {
             405 => "Method Not Allowed",
             413 => "Payload Too Large",
             429 => "Too Many Requests",
+            503 => "Service Unavailable",
             _ => "Internal Server Error",
         }
     }
@@ -356,7 +357,7 @@ mod tests {
     #[test]
     fn oversized_head_is_rejected() {
         let mut raw = b"GET /x HTTP/1.1\r\n".to_vec();
-        raw.extend(std::iter::repeat(b'a').take(MAX_HEAD_BYTES + 8));
+        raw.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 8));
         match parse(&raw) {
             Err(HttpError::BadRequest(msg)) => assert!(msg.contains("head"), "{msg}"),
             other => panic!("expected BadRequest, got {other:?}"),

@@ -215,8 +215,8 @@ impl JobTable {
 /// provided executor for each job.
 #[derive(Debug)]
 pub struct WorkerPool {
-    sender: Option<Sender<u64>>,
-    handles: Vec<JoinHandle<()>>,
+    sender: Mutex<Option<Sender<u64>>>,
+    handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl WorkerPool {
@@ -251,29 +251,27 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool {
-            sender: Some(sender),
-            handles,
+            sender: Mutex::new(Some(sender)),
+            handles: Mutex::new(handles),
         }
     }
 
-    /// Queues a job id for execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`WorkerPool::shutdown`].
-    pub fn enqueue(&self, id: u64) {
+    /// Queues a job id for execution. Returns `false` once the pool has
+    /// shut down: the job will never run.
+    pub fn enqueue(&self, id: u64) -> bool {
         self.sender
+            .lock()
+            .expect("worker queue")
             .as_ref()
-            .expect("pool is running")
-            .send(id)
-            .expect("workers alive");
+            .is_some_and(|sender| sender.send(id).is_ok())
     }
 
     /// Closes the queue and joins every worker, letting in-flight jobs
-    /// finish first.
-    pub fn shutdown(&mut self) {
-        self.sender.take(); // closing the channel stops the workers
-        for handle in self.handles.drain(..) {
+    /// finish first. Later calls return at once.
+    pub fn shutdown(&self) {
+        self.sender.lock().expect("worker queue").take(); // closing the channel stops the workers
+        let handles = std::mem::take(&mut *self.handles.lock().expect("worker handles"));
+        for handle in handles {
             let _ = handle.join();
         }
     }
@@ -341,13 +339,13 @@ mod tests {
     fn worker_pool_executes_queued_jobs_and_shuts_down() {
         let table = Arc::new(JobTable::new(8));
         let exec_table = Arc::clone(&table);
-        let mut pool = WorkerPool::spawn(2, move |id| {
+        let pool = WorkerPool::spawn(2, move |id| {
             exec_table.mark_running(id);
             exec_table.finish(id, JobStatus::Failed(format!("job {id} executed")));
         });
         let ids: Vec<u64> = (0..5).map(|_| table.submit(spec()).unwrap()).collect();
         for &id in &ids {
-            pool.enqueue(id);
+            assert!(pool.enqueue(id));
         }
         for &id in &ids {
             let job = table.wait_terminal(id).unwrap();
@@ -356,6 +354,8 @@ mod tests {
                 other => panic!("unexpected status {other:?}"),
             }
         }
+        pool.shutdown();
+        assert!(!pool.enqueue(99), "a stopped pool must refuse new jobs");
         pool.shutdown();
     }
 }

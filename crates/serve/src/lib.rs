@@ -23,6 +23,12 @@
 //! the persistent cross-run evaluation cache and is served from disk after
 //! a restart.
 //!
+//! The accept thread blocks in `accept` and runs each connection on its
+//! own handler thread, at most [`MAX_CONNECTIONS`] at once; beyond that it
+//! answers `503` + `Retry-After` itself. `/shutdown` wakes it with a
+//! connection to its own address, and graceful stop waits at most
+//! [`SHUTDOWN_DEADLINE`] for running handlers — see `DESIGN.md` §2.12.
+//!
 //! Every connection is traced through a [`Telemetry`] hub: deterministic
 //! request ids (echoed as `X-Request-Id`), per-endpoint latency
 //! histograms and 60 s sliding windows, status-code counters, a JSONL
@@ -47,14 +53,31 @@ pub use telemetry::Telemetry;
 
 use http::{read_request, Request, Response};
 use serde::Value;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vaesa_obs::RequestCtx;
+
+/// Most connection handlers running at once. The accept thread answers a
+/// connection beyond this itself: `503` with `Retry-After: 1`.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long graceful stop waits for running handlers to answer before it
+/// stops the job pool and flushes anyway. Shorter than the 10 s socket
+/// timeouts of a handler, so a peer that stalls a handler cannot stall the
+/// stop.
+pub const SHUTDOWN_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Read and write timeout of a handler's socket.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Bound on the accept thread's own I/O with a rejected connection and on
+/// the `/shutdown` wake-up connect.
+const ACCEPT_IO_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Daemon configuration: bind address, concurrency, and the startup build
 /// sizing ([`CoreConfig`]).
@@ -62,7 +85,12 @@ use vaesa_obs::RequestCtx;
 pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (reported by [`Server::addr`]).
     pub addr: String,
-    /// Search worker threads.
+    /// Search worker threads. The default is one: searches are background
+    /// work next to the latency-bound `/predict` and `/decode` path, and
+    /// one worker runs them in arrival order. Two jobs that share a CPU
+    /// both finish late, where one after the other the first finishes
+    /// early; raise it (`--workers`) where each worker gets a CPU of its
+    /// own.
     pub workers: usize,
     /// Coalescing window for `/predict` and `/decode` admission.
     pub window: Duration,
@@ -78,7 +106,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:8737".to_string(),
-            workers: 2,
+            workers: 1,
             window: Duration::from_millis(5),
             job_capacity: 64,
             access_log: None,
@@ -96,10 +124,14 @@ struct ServeState {
     pool: WorkerPool,
     telemetry: Telemetry,
     stop: AtomicBool,
+    /// Connection handlers running now (at most [`MAX_CONNECTIONS`]).
+    active: AtomicUsize,
+    /// Where `/shutdown` connects to wake the accept thread.
+    wake_addr: SocketAddr,
 }
 
 impl ServeState {
-    fn new(core: Arc<ServeCore>, config: &ServeConfig) -> io::Result<Self> {
+    fn new(core: Arc<ServeCore>, config: &ServeConfig, wake_addr: SocketAddr) -> io::Result<Self> {
         let jobs = Arc::new(JobTable::new(config.job_capacity));
         let predict_core = Arc::clone(&core);
         let decode_core = Arc::clone(&core);
@@ -132,12 +164,63 @@ impl ServeState {
             jobs,
             telemetry,
             stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            wake_addr,
         })
+    }
+
+    /// Sets the stop flag and wakes the accept thread, which is blocked in
+    /// `accept`, with a connection of its own. Only the first call does
+    /// anything.
+    fn request_stop(&self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Err(e) = TcpStream::connect_timeout(&self.wake_addr, ACCEPT_IO_TIMEOUT) {
+            eprintln!("vaesa-serve: shutdown wake-up connect failed: {e}");
+        }
+    }
+}
+
+/// The loopback address `/shutdown` connects to: the bound address, with
+/// an unspecified IP (`0.0.0.0`, `[::]`) replaced by the loopback address
+/// of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// One running connection handler, counted in [`ServeState::active`];
+/// dropping it (also on panic, or when the handler thread never spawns)
+/// frees the slot.
+struct HandlerSlot(Arc<ServeState>);
+
+impl HandlerSlot {
+    /// Takes a slot, or `None` when [`MAX_CONNECTIONS`] handlers run.
+    fn acquire(state: &Arc<ServeState>) -> Option<Self> {
+        if state.active.fetch_add(1, Ordering::SeqCst) < MAX_CONNECTIONS {
+            Some(HandlerSlot(Arc::clone(state)))
+        } else {
+            state.active.fetch_sub(1, Ordering::SeqCst);
+            None
+        }
+    }
+}
+
+impl Drop for HandlerSlot {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// A running daemon: the accept loop on its own thread, handlers on
-/// per-connection threads.
+/// per-connection threads (at most [`MAX_CONNECTIONS`] at once).
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
@@ -156,11 +239,8 @@ impl Server {
     /// build across restart cycles).
     pub fn start_with_core(config: ServeConfig, core: Arc<ServeCore>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        // Nonblocking accept lets the loop observe the stop flag promptly
-        // without a wakeup connection.
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let state = Arc::new(ServeState::new(core, &config)?);
+        let state = Arc::new(ServeState::new(core, &config, wake_addr(addr))?);
         // Periodic sampler: refreshes point-in-time gauges (peak RSS,
         // in-flight, windowed rate/p99) so scrapes see fresh readings.
         // The Weak handle keeps the sampler from pinning the state alive
@@ -192,7 +272,9 @@ impl Server {
         self.addr
     }
 
-    /// Blocks until the daemon stops (via `POST /shutdown`).
+    /// Blocks until the daemon stops (via `POST /shutdown`). Returns within
+    /// [`SHUTDOWN_DEADLINE`] of the stop plus the time queued searches
+    /// take to finish, even while a stalled peer holds a handler.
     pub fn join(mut self) {
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
@@ -202,22 +284,27 @@ impl Server {
 
 fn accept_loop(listener: TcpListener, state: Arc<ServeState>) {
     vaesa_obs::progress!("serve: listening");
-    while !state.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        // Blocks until a peer connects; `/shutdown` connects to wake it.
+        let accepted = listener.accept();
+        if state.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 vaesa_obs::counter("serve.connections").incr();
-                let state = Arc::clone(&state);
+                let Some(slot) = HandlerSlot::acquire(&state) else {
+                    reject(stream, &state);
+                    continue;
+                };
                 // One thread per connection: handlers must run concurrently
                 // for the admission queue to have anything to coalesce.
                 let spawned = std::thread::Builder::new()
                     .name("vaesa-serve-conn".to_string())
-                    .spawn(move || handle_connection(stream, &state));
+                    .spawn(move || handle_connection(stream, &slot.0));
                 if let Err(e) = spawned {
                     eprintln!("vaesa-serve: failed to spawn handler: {e}");
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
             }
             Err(e) => {
                 eprintln!("vaesa-serve: accept error: {e}");
@@ -225,34 +312,47 @@ fn accept_loop(listener: TcpListener, state: Arc<ServeState>) {
             }
         }
     }
-    // Graceful stop: finish queued searches, then persist what they learned.
-    let mut state = state;
-    loop {
-        match Arc::try_unwrap(state) {
-            Ok(mut owned) => {
-                owned.pool.shutdown();
-                if let Err(e) = owned.core.scheduler().flush_persistent() {
-                    eprintln!("vaesa-serve: persistent cache flush failed: {e}");
-                }
-                owned.telemetry.flush();
-                break;
-            }
-            Err(shared) => {
-                // In-flight connection handlers still hold clones; give
-                // them a beat to finish writing their responses.
-                state = shared;
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
+    // Graceful stop: refuse new connections, give running handlers a
+    // bounded time to answer, then finish queued searches and persist what
+    // they learned. A handler still stalled on its peer keeps the state
+    // alive on its own.
+    drop(listener);
+    let deadline = Instant::now() + SHUTDOWN_DEADLINE;
+    while state.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
     }
+    state.pool.shutdown();
+    if let Err(e) = state.core.scheduler().flush_persistent() {
+        eprintln!("vaesa-serve: persistent cache flush failed: {e}");
+    }
+    state.telemetry.flush();
     vaesa_obs::progress!("serve: stopped");
 }
 
+/// Answers a connection over [`MAX_CONNECTIONS`] from the accept thread:
+/// `503` + `Retry-After: 1`, with every socket operation bounded by
+/// [`ACCEPT_IO_TIMEOUT`] so a slow peer cannot stall accepting.
+fn reject(mut stream: TcpStream, state: &ServeState) {
+    let ctx = state.telemetry.begin();
+    let response = Response::error(503, "too many open connections")
+        .with_header("Retry-After", "1")
+        .with_header("X-Request-Id", ctx.id());
+    let _ = stream.set_write_timeout(Some(ACCEPT_IO_TIMEOUT));
+    let _ = stream.set_read_timeout(Some(ACCEPT_IO_TIMEOUT));
+    let _ = response.write_to(&mut stream);
+    // Drain the unread request until the peer closes, so closing does not
+    // reset the connection before the peer has read the reply.
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + ACCEPT_IO_TIMEOUT;
+    let mut sink = [0u8; 1024];
+    while Instant::now() < deadline && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    state.telemetry.finish(ctx, "-", 503);
+}
+
 fn handle_connection(mut stream: TcpStream, state: &ServeState) {
-    // Blocking I/O (inherited nonblocking flags vary by platform) with a
-    // timeout so a stalled client cannot pin a handler thread forever.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    // Timeouts so a stalled client cannot pin a handler thread forever.
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let ctx = state.telemetry.begin();
     let (response, method) = match read_request(&mut stream) {
         Ok(request) => {
@@ -301,7 +401,7 @@ fn route(request: &Request, state: &ServeState, ctx: &RequestCtx<'static>) -> Re
         ("POST", "/search") => handle_search(request, state),
         ("GET", path) if path.starts_with("/jobs/") => handle_job(path, state),
         ("POST", "/shutdown") => {
-            state.stop.store(true, Ordering::SeqCst);
+            state.request_stop();
             Response::json(200, "{\"status\":\"stopping\"}")
         }
         (_, "/healthz" | "/metrics" | "/predict" | "/decode" | "/search" | "/shutdown") => {
@@ -505,9 +605,15 @@ fn handle_search(request: &Request, state: &ServeState) -> Response {
         return Response::error(400, &message);
     }
     match state.jobs.submit(spec) {
-        Ok(id) => {
-            state.pool.enqueue(id);
+        Ok(id) if state.pool.enqueue(id) => {
             Response::json(202, format!("{{\"job\":{id},\"status\":\"queued\"}}"))
+        }
+        Ok(id) => {
+            let message = "the daemon is shutting down";
+            state
+                .jobs
+                .finish(id, JobStatus::Failed(message.to_string()));
+            Response::error(503, message)
         }
         Err(message) => Response::error(429, &message),
     }
@@ -576,5 +682,14 @@ mod tests {
         assert!(parse_points("{\"points\":[5]}", 2)
             .unwrap_err()
             .contains("not an array"));
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_to_loopback_of_the_same_family() {
+        let wake = |s: &str| wake_addr(s.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:8737"), "127.0.0.1:8737");
+        assert_eq!(wake("[::]:8737"), "[::1]:8737");
+        assert_eq!(wake("127.0.0.1:9"), "127.0.0.1:9");
+        assert_eq!(wake("10.1.2.3:9"), "10.1.2.3:9");
     }
 }

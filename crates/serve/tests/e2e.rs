@@ -1,14 +1,30 @@
-//! End-to-end daemon test: boot the server on an ephemeral port with a
-//! persistent evaluation cache, drive every endpoint over real TCP,
-//! shut down cleanly, then boot a second daemon against the same cache
-//! directory and prove the cache survived the restart (warm hits > 0).
+//! End-to-end daemon tests over real TCP. The lifecycle test boots the
+//! server on an ephemeral port with a persistent evaluation cache, drives
+//! every endpoint, shuts down cleanly, then boots a second daemon against
+//! the same cache directory and proves the cache survived the restart
+//! (warm hits > 0). The others cover the connection model: idle-accept
+//! latency, the handler cap and the shutdown deadline.
 //!
-//! Kept to one `#[test]` because `VAESA_EVAL_CACHE` is process-global
-//! state and the restart half depends on the first half's writes.
+//! The lifecycle is one `#[test]` because the restart half depends on the
+//! first half's writes. Every test holds [`serial`], because
+//! `VAESA_EVAL_CACHE` is process-global state that the lifecycle test sets.
 
 use serde::Value;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use vaesa_serve::{http_request, CoreConfig, ServeConfig, Server};
+use vaesa_serve::{
+    http_request, CoreConfig, ServeConfig, Server, MAX_CONNECTIONS, SHUTDOWN_DEADLINE,
+};
+
+/// Serializes the tests of this file (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn tiny_config(addr: &str, seed: u64) -> ServeConfig {
     ServeConfig {
@@ -67,8 +83,15 @@ fn poll_job_done(addr: &str, id: u64) -> Value {
     }
 }
 
+fn shutdown(server: Server, addr: &str) {
+    let (status, _) = post(addr, "/shutdown", "");
+    assert_eq!(status, 200);
+    server.join();
+}
+
 #[test]
 fn daemon_serves_all_endpoints_and_cache_survives_restart() {
+    let _serial = serial();
     let cache_dir = std::env::temp_dir().join(format!("vaesa-serve-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     std::env::set_var("VAESA_EVAL_CACHE", &cache_dir);
@@ -269,4 +292,78 @@ fn daemon_serves_all_endpoints_and_cache_survives_restart() {
 
     std::env::remove_var("VAESA_EVAL_CACHE");
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+#[test]
+fn idle_daemon_answers_sequential_requests_without_accept_delay() {
+    let _serial = serial();
+    let server = Server::start(tiny_config("127.0.0.1:0", 5)).expect("start");
+    let addr = server.addr().to_string();
+    let started = Instant::now();
+    for _ in 0..100 {
+        let (status, body) = get(&addr, "/healthz");
+        assert_eq!(status, 200, "{body}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "100 sequential /healthz took {elapsed:?}: accept must not poll"
+    );
+    shutdown(server, &addr);
+}
+
+#[test]
+fn handler_cap_answers_503_and_recovers_when_connections_close() {
+    let _serial = serial();
+    let server = Server::start(tiny_config("127.0.0.1:0", 6)).expect("start");
+    let addr = server.addr().to_string();
+
+    // Idle peers that never send a request each hold a handler.
+    let held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    // The accept thread takes connections in order, so every held one
+    // owns a slot before the next request is accepted.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+        .expect("write");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("read 503");
+    drop(stream);
+    assert!(reply.starts_with("HTTP/1.1 503 "), "{reply}");
+    assert!(reply.contains("\r\nRetry-After: 1\r\n"), "{reply}");
+
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (status, body) = get(&addr, "/healthz");
+        if status == 200 {
+            break;
+        }
+        assert_eq!(status, 503, "{body}");
+        assert!(Instant::now() < deadline, "slots never freed after close");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    shutdown(server, &addr);
+}
+
+#[test]
+fn stalled_peer_cannot_hold_up_shutdown_past_the_deadline() {
+    let _serial = serial();
+    let server = Server::start(tiny_config("127.0.0.1:0", 7)).expect("start");
+    let addr = server.addr().to_string();
+    // Connects and sends nothing: its handler waits out the read timeout.
+    let stalled = TcpStream::connect(&addr).expect("connect");
+    let (status, _) = get(&addr, "/healthz");
+    assert_eq!(status, 200);
+
+    let started = Instant::now();
+    shutdown(server, &addr);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < SHUTDOWN_DEADLINE + Duration::from_secs(2),
+        "join took {elapsed:?} with a stalled peer"
+    );
+    drop(stalled);
 }
