@@ -1,15 +1,17 @@
-//! Batched vs per-start multi-start latent gradient descent — the `vae_gd`
-//! hot path, where every descent step differentiates the predictor heads.
+//! Batched vs per-start multi-start gradient descent — the `vae_gd` and
+//! `gd` hot paths, where every descent step differentiates the predictor
+//! heads (latent space for `vae_gd`, input space for `gd`).
 //!
-//! Uses a freshly initialized paper-config model (dz = 4): the graph work
-//! per step is identical to a trained model's, and no scheduler is needed
-//! because only the descent itself is timed.
+//! Uses a freshly initialized paper-config model (dz = 4) and `[64, 32]`
+//! input-space predictors (as the campaign and `fig12` train): the graph
+//! work per step is identical to trained networks', and no scheduler is
+//! needed because only the descent itself is timed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-use vaesa::{EdpGradBatch, VaesaConfig, VaesaModel};
+use vaesa::{EdpGradBatch, InputPredictors, VaesaConfig, VaesaModel, HW_FEATURES};
 use vaesa_dse::{
     BatchDifferentiableObjective, BoxSpace, FnBatchDifferentiable, FnDifferentiable, GdConfig,
     GdEngine, GradientDescent, Objective, SearchEngine, SearchObjective,
@@ -98,6 +100,48 @@ fn bench_multi_start_gd(c: &mut Criterion) {
     }
 }
 
+/// The `gd` baseline's descent over the input box: per-start descents
+/// against the engine-driven batched proxy (as `DseDriver` runs it).
+fn bench_input_space_gd(c: &mut Criterion) {
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    let preds = InputPredictors::new(&[64, 32], &mut rng);
+    let layer = [0.5; 8];
+    let space = BoxSpace::unit(HW_FEATURES);
+    let config = GdConfig {
+        steps: STEPS,
+        ..GdConfig::default()
+    };
+    let driver = GradientDescent::new(space.clone(), config);
+    let batch = 16usize;
+    let starts: Vec<Vec<f64>> = (0..batch).map(|_| space.sample(&mut rng)).collect();
+    c.bench_function(&format!("vae_gd/gd_input_step_per_start_b{batch}"), |b| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for start in &starts {
+                let mut objective = FnDifferentiable::new(HW_FEATURES, |x: &[f64]| {
+                    preds.predicted_edp_grad(x, &layer, 1.0, 1.0)
+                });
+                total += driver.run(&mut objective, start).final_value();
+            }
+            black_box(total)
+        })
+    });
+    let engine = GdEngine { config };
+    c.bench_function(&format!("vae_gd/gd_input_step_engine_b{batch}"), |b| {
+        b.iter(|| {
+            let mut scratch = EdpGradBatch::default();
+            let mut objective = ProxyOnly {
+                proxy: FnBatchDifferentiable::new(HW_FEATURES, |xs: &[f64], n: usize| {
+                    preds.predicted_edp_grad_batch(xs, n, &layer, 1.0, 1.0, &mut scratch)
+                }),
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(11 + batch as u64);
+            let trace = engine.run(&space, &mut objective, batch, &mut rng);
+            black_box(trace.best_value())
+        })
+    });
+}
+
 /// A [`SearchObjective`] whose final-point scoring reuses the proxy's value
 /// — isolates the engine/trace plumbing from any evaluator cost.
 struct ProxyOnly<F: FnMut(&[f64], usize) -> (Vec<f64>, Vec<f64>)> {
@@ -106,7 +150,7 @@ struct ProxyOnly<F: FnMut(&[f64], usize) -> (Vec<f64>, Vec<f64>)> {
 
 impl<F: FnMut(&[f64], usize) -> (Vec<f64>, Vec<f64>)> Objective for ProxyOnly<F> {
     fn dim(&self) -> usize {
-        DZ
+        self.proxy.dim()
     }
 
     fn evaluate(&mut self, x: &[f64]) -> Option<f64> {
@@ -127,5 +171,5 @@ impl<F: FnMut(&[f64], usize) -> (Vec<f64>, Vec<f64>)> SearchObjective for ProxyO
     }
 }
 
-criterion_group!(benches, bench_multi_start_gd);
+criterion_group!(benches, bench_multi_start_gd, bench_input_space_gd);
 criterion_main!(benches);

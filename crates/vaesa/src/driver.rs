@@ -286,13 +286,16 @@ impl BatchDifferentiableObjective for BatchEdpObjective<'_> {
     }
 }
 
-/// Direct-mode gradient proxy over the input-space predictors; rows are
-/// evaluated independently, so the batch is equivalent to per-point calls.
+/// Direct-mode gradient proxy over the input-space predictors: like
+/// [`BatchEdpObjective`], one call runs one batched predictor pass for the
+/// whole batch ([`InputPredictors::predicted_edp_grad_batch`]), reusing
+/// graph and leaf buffers across descent steps.
 struct InputProxy<'a> {
     predictors: &'a InputPredictors,
     layer_n: Vec<f64>,
     w_lat: f64,
     w_en: f64,
+    scratch: EdpGradBatch,
 }
 
 impl<'a> InputProxy<'a> {
@@ -309,6 +312,7 @@ impl<'a> InputProxy<'a> {
             layer_n,
             w_lat,
             w_en,
+            scratch: EdpGradBatch::default(),
         }
     }
 }
@@ -319,18 +323,14 @@ impl BatchDifferentiableObjective for InputProxy<'_> {
     }
 
     fn evaluate_with_grad_batch(&mut self, xs: &[f64], batch: usize) -> (Vec<f64>, Vec<f64>) {
-        let dim = crate::HW_FEATURES;
-        let mut values = Vec::with_capacity(batch);
-        let mut grads = Vec::with_capacity(batch * dim);
-        for b in 0..batch {
-            let row = &xs[b * dim..(b + 1) * dim];
-            let (v, g) =
-                self.predictors
-                    .predicted_edp_grad(row, &self.layer_n, self.w_lat, self.w_en);
-            values.push(v);
-            grads.extend_from_slice(&g);
-        }
-        (values, grads)
+        self.predictors.predicted_edp_grad_batch(
+            xs,
+            batch,
+            &self.layer_n,
+            self.w_lat,
+            self.w_en,
+            &mut self.scratch,
+        )
     }
 }
 
@@ -429,9 +429,60 @@ mod tests {
         std::env::remove_var("VAESA_THREADS");
     }
 
+    /// The direct-mode GD driver path (the `gd` baseline) must stay
+    /// bit-identical to the serial per-start descent over the input-space
+    /// predictors at 1/2/5 threads.
+    #[test]
+    fn gd_driver_matches_serial_reference_trace() {
+        let f = Fixture::new();
+        let ds = f.dataset();
+        let preds = f.trained_input_predictors(&ds);
+        let layer = f.layers[0].clone();
+        let single = vec![layer.clone()];
+        let ev = HardwareEvaluator::new(&f.space, &f.scheduler, &single);
+        let gd_cfg = GdConfig {
+            steps: 30,
+            ..GdConfig::default()
+        };
+
+        // Serial reference: one full descent per start, one scheduler
+        // query per final point, starts drawn one at a time.
+        let layer_n = ds.layer_norm.transform_row(&layer.features());
+        let (w_lat, w_en) = proxy_weights(ev.metric(), &ds);
+        let space = BoxSpace::unit(crate::HW_FEATURES);
+        let gd = GradientDescent::new(space.clone(), gd_cfg);
+        let mut rng = ChaCha8Rng::seed_from_u64(62);
+        let mut serial = Trace::new("gd");
+        for _ in 0..5 {
+            let start = space.sample(&mut rng);
+            let mut objective = FnDifferentiable::new(crate::HW_FEATURES, |x: &[f64]| {
+                preds.predicted_edp_grad(x, &layer_n, w_lat, w_en)
+            });
+            let path = gd.run(&mut objective, &start);
+            let x = path.final_point();
+            serial.record(x.to_vec(), ev.edp_of_normalized(x, &ds.hw_norm));
+        }
+
+        let driver = DseDriver::new(&ev, &ds)
+            .with_input_predictors(&preds)
+            .with_gd_layer(&layer);
+        let engine = GdEngine { config: gd_cfg };
+        for threads in ["1", "2", "5"] {
+            std::env::set_var("VAESA_THREADS", threads);
+            let batched = driver.run(
+                &engine,
+                SpaceMode::Direct,
+                5,
+                &mut ChaCha8Rng::seed_from_u64(62),
+            );
+            assert_eq!(serial, batched, "threads = {threads}");
+        }
+        std::env::remove_var("VAESA_THREADS");
+    }
+
     /// Every engine runs through the driver in both modes, spends its
-    /// budget exactly, and never over-calls the scheduler: with a
-    /// single-layer workload, scheduler lookups == budget.
+    /// budget exactly, finds a valid design, and never over-calls the
+    /// scheduler: with a single-layer workload, scheduler lookups == budget.
     #[test]
     fn all_engines_run_in_both_modes_within_budget() {
         let f = Fixture::new();
@@ -460,6 +511,15 @@ mod tests {
                 };
                 assert_eq!(trace.label(), want_label);
                 assert_eq!(trace.len(), budget, "{want_label} trace length");
+                let best = trace.best_value().expect("found valid designs");
+                if name == "cd" {
+                    let first = trace
+                        .samples()
+                        .iter()
+                        .find_map(|s| s.value)
+                        .expect("some valid start");
+                    assert!(best <= first, "{want_label} ended above its start");
+                }
                 let stats = scheduler.cache_stats();
                 assert_eq!(
                     stats.hits + stats.misses,
@@ -486,27 +546,35 @@ mod tests {
         );
     }
 
+    /// The batched input-space proxy is bit-identical, row by row, to the
+    /// single-row predictor call, at every batch size and with its scratch
+    /// buffers reused across calls of different heights.
     #[test]
     fn input_proxy_batch_matches_per_point_calls() {
         let f = Fixture::new();
         let ds = f.dataset();
         let preds = f.trained_input_predictors(&ds);
         let layer = f.layers[0].clone();
+        let layer_n = ds.layer_norm.transform_row(&layer.features());
+        let (w_lat, w_en) = proxy_weights(Metric::Edp, &ds);
         let mut proxy = InputProxy::new(&preds, &ds, &layer, Metric::Edp);
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         let space = BoxSpace::unit(crate::HW_FEATURES);
-        let points: Vec<Vec<f64>> = (0..5).map(|_| space.sample(&mut rng)).collect();
-        let flat: Vec<f64> = points.iter().flatten().copied().collect();
-        let (values, grads) = proxy.evaluate_with_grad_batch(&flat, points.len());
-        for (i, p) in points.iter().enumerate() {
-            let layer_n = ds.layer_norm.transform_row(&layer.features());
-            let (w_lat, w_en) = proxy_weights(Metric::Edp, &ds);
-            let (v, g) = preds.predicted_edp_grad(p, &layer_n, w_lat, w_en);
-            assert_eq!(values[i], v);
-            assert_eq!(
-                &grads[i * crate::HW_FEATURES..(i + 1) * crate::HW_FEATURES],
-                &g[..]
-            );
+        for batch in [0usize, 1, 5, 16] {
+            let points: Vec<Vec<f64>> = (0..batch).map(|_| space.sample(&mut rng)).collect();
+            let flat: Vec<f64> = points.iter().flatten().copied().collect();
+            let (values, grads) = proxy.evaluate_with_grad_batch(&flat, batch);
+            assert_eq!(values.len(), batch, "batch = {batch}");
+            assert_eq!(grads.len(), batch * crate::HW_FEATURES, "batch = {batch}");
+            for (i, p) in points.iter().enumerate() {
+                let (v, g) = preds.predicted_edp_grad(p, &layer_n, w_lat, w_en);
+                assert_eq!(values[i], v, "batch = {batch}, row {i}");
+                assert_eq!(
+                    &grads[i * crate::HW_FEATURES..(i + 1) * crate::HW_FEATURES],
+                    &g[..],
+                    "batch = {batch}, row {i}"
+                );
+            }
         }
     }
 }

@@ -13,7 +13,9 @@
 //! [`SpaceMode`](crate::driver::SpaceMode). The driver owns candidate
 //! evaluation (snap / decode / schedule, batched across the thread pool)
 //! and the `vae_` label prefixing; the shims only pick the engine and wire
-//! the trained artifacts in.
+//! the trained artifacts in. The remaining engines (`evo`, `sa`, `cd`) have
+//! no named flow: run them through [`DseDriver::run`] with
+//! [`engine_by_name`](vaesa_dse::engine_by_name).
 
 use crate::driver::{DseDriver, SpaceMode};
 use crate::{Dataset, InputPredictors, Normalizer, VaesaModel};
@@ -21,8 +23,7 @@ use rand::RngCore;
 use vaesa_accel::{ArchConfig, DesignSpace, LayerShape};
 use vaesa_cosa::CachedScheduler;
 use vaesa_dse::{
-    BoEngine, BoxSpace, CdEngine, EvoEngine, FnDifferentiable, GdConfig, GdEngine, GradientDescent,
-    RandomEngine, SaEngine, Trace,
+    BoEngine, BoxSpace, FnDifferentiable, GdConfig, GdEngine, GradientDescent, RandomEngine, Trace,
 };
 use vaesa_nn::Tensor;
 
@@ -265,77 +266,6 @@ pub fn run_vae_bo(
     )
 }
 
-/// `evo` baseline: evolutionary (genetic) search on the normalized input
-/// box — the Table I "NAAS: Evolutionary" class of optimizer, provided as
-/// an extension beyond the paper's featured strategies.
-pub fn run_evo(
-    evaluator: &HardwareEvaluator<'_>,
-    hw_norm: &Normalizer,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::direct(evaluator, hw_norm).run(&EvoEngine::default(), SpaceMode::Direct, budget, rng)
-}
-
-/// `vae_evo`: evolutionary search over the VAE latent space; like
-/// [`run_vae_bo`] but with a genetic optimizer driving the sampling.
-pub fn run_vae_evo(
-    evaluator: &HardwareEvaluator<'_>,
-    model: &VaesaModel,
-    dataset: &Dataset,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::new(evaluator, dataset).with_model(model).run(
-        &EvoEngine::default(),
-        SpaceMode::Latent,
-        budget,
-        rng,
-    )
-}
-
-/// `cd` baseline: greedy coordinate descent (compass search) on the
-/// normalized input box — the Table I "heuristics-driven" class. From a
-/// random point, probe each feature up and down, take the best improving
-/// move, shrink the step when stuck, and restart from a fresh random point
-/// when the step bottoms out. Every probe costs one scheduler query; the
-/// snap to the discrete design space makes the probes move between legal
-/// neighbouring designs.
-pub fn run_coordinate_descent(
-    evaluator: &HardwareEvaluator<'_>,
-    hw_norm: &Normalizer,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::direct(evaluator, hw_norm).run(&CdEngine::default(), SpaceMode::Direct, budget, rng)
-}
-
-/// `sa` baseline: simulated annealing on the normalized input box.
-pub fn run_annealing(
-    evaluator: &HardwareEvaluator<'_>,
-    hw_norm: &Normalizer,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::direct(evaluator, hw_norm).run(&SaEngine::default(), SpaceMode::Direct, budget, rng)
-}
-
-/// `vae_sa`: simulated annealing over the VAE latent space.
-pub fn run_vae_annealing(
-    evaluator: &HardwareEvaluator<'_>,
-    model: &VaesaModel,
-    dataset: &Dataset,
-    budget: usize,
-    rng: &mut dyn RngCore,
-) -> Trace {
-    DseDriver::new(evaluator, dataset).with_model(model).run(
-        &SaEngine::default(),
-        SpaceMode::Latent,
-        budget,
-        rng,
-    )
-}
-
 /// `vae_gd`: gradient descent on the predictor surface in latent space
 /// (Figure 6b). Each *sample* is one full descent from a random latent
 /// start; only the final decoded design is scheduled, so a sample costs one
@@ -405,7 +335,11 @@ pub fn run_vae_gd_network(
 }
 
 /// `gd` baseline: gradient descent on input-space predictors, rounding the
-/// optimized continuous features to the nearest legal design (§IV-D).
+/// optimized continuous features to the nearest legal design (§IV-D). Each
+/// sample is one full descent from a random start in the input box and
+/// costs one simulator query. All starts descend in lockstep (one batched
+/// predictor pass per step) and the finals are scored through the parallel
+/// pool — bit-identical to a serial per-start loop at any thread count.
 pub fn run_gd(
     evaluator: &HardwareEvaluator<'_>,
     predictors: &InputPredictors,
@@ -488,6 +422,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vaesa_accel::ArchParam;
+    use vaesa_dse::{CdEngine, EvoEngine, SaEngine};
 
     #[test]
     fn evaluator_scores_configs_and_normalized_rows() {
@@ -723,12 +658,18 @@ mod tests {
         let ds = f.dataset();
         let model = f.trained_model(&ds);
         let ev = f.evaluator();
+        let engine = EvoEngine::default();
         let mut rng = ChaCha8Rng::seed_from_u64(45);
-        let t1 = run_evo(&ev, &ds.hw_norm, 25, &mut rng);
+        let t1 = DseDriver::direct(&ev, &ds.hw_norm).run(&engine, SpaceMode::Direct, 25, &mut rng);
         assert_eq!(t1.label(), "evo");
         assert_eq!(t1.len(), 25);
         let mut rng = ChaCha8Rng::seed_from_u64(46);
-        let t2 = run_vae_evo(&ev, &model, &ds, 25, &mut rng);
+        let t2 = DseDriver::new(&ev, &ds).with_model(&model).run(
+            &engine,
+            SpaceMode::Latent,
+            25,
+            &mut rng,
+        );
         assert_eq!(t2.label(), "vae_evo");
         assert!(t2.best_value().is_some());
     }
@@ -739,7 +680,12 @@ mod tests {
         let ev = f.evaluator();
         let ds = f.dataset();
         let mut rng = ChaCha8Rng::seed_from_u64(49);
-        let trace = run_coordinate_descent(&ev, &ds.hw_norm, 60, &mut rng);
+        let trace = DseDriver::direct(&ev, &ds.hw_norm).run(
+            &CdEngine::default(),
+            SpaceMode::Direct,
+            60,
+            &mut rng,
+        );
         assert_eq!(trace.label(), "cd");
         assert_eq!(trace.len(), 60);
         let best = trace.best_value().expect("found valid designs");
@@ -758,13 +704,19 @@ mod tests {
         let ds = f.dataset();
         let model = f.trained_model(&ds);
         let ev = f.evaluator();
+        let engine = SaEngine::default();
         let mut rng = ChaCha8Rng::seed_from_u64(47);
-        let t1 = run_annealing(&ev, &ds.hw_norm, 25, &mut rng);
+        let t1 = DseDriver::direct(&ev, &ds.hw_norm).run(&engine, SpaceMode::Direct, 25, &mut rng);
         assert_eq!(t1.label(), "sa");
         assert_eq!(t1.len(), 25);
         assert!(t1.best_value().is_some());
         let mut rng = ChaCha8Rng::seed_from_u64(48);
-        let t2 = run_vae_annealing(&ev, &model, &ds, 25, &mut rng);
+        let t2 = DseDriver::new(&ev, &ds).with_model(&model).run(
+            &engine,
+            SpaceMode::Latent,
+            25,
+            &mut rng,
+        );
         assert_eq!(t2.label(), "vae_sa");
         assert!(t2.best_value().is_some());
     }

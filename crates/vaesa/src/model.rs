@@ -100,14 +100,74 @@ pub struct TrainStep {
     pub input_leaves: [VarId; 5],
 }
 
-/// Reusable buffers for [`VaesaModel::predicted_edp_grad_batch`]: the graph
-/// tape and the two input leaf tensors survive across calls, so the batched
-/// gradient-descent hot loop performs no per-step graph or leaf allocations.
+/// Reusable buffers for [`VaesaModel::predicted_edp_grad_batch`] and
+/// [`InputPredictors::predicted_edp_grad_batch`](crate::InputPredictors::predicted_edp_grad_batch):
+/// the graph tape and the two input leaf tensors survive across calls, so
+/// the batched gradient-descent hot loop performs no per-step graph or leaf
+/// allocations.
 #[derive(Debug, Default)]
 pub struct EdpGradBatch {
     g: Graph,
-    zs: Tensor,
+    xs: Tensor,
     layer_rep: Tensor,
+}
+
+/// The batched EDP-proxy body shared by the latent (`d = dz`) and
+/// input-space (`d = 6`) predictors: one `B x (d + 8)` forward pass through
+/// both heads and one backward pass, returning per-row proxy values
+/// `w_lat · lat̂ + w_en · ên` and the row-major `B x d` gradient with
+/// respect to `xs`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn edp_grad_batch(
+    latency: &Mlp,
+    energy: &Mlp,
+    d: usize,
+    xs: &[f64],
+    batch: usize,
+    layer: &[f64],
+    w_lat: f64,
+    w_en: f64,
+    scratch: &mut EdpGradBatch,
+) -> (Vec<f64>, Vec<f64>) {
+    assert_eq!(xs.len(), batch * d, "input batch layout mismatch");
+    assert_eq!(layer.len(), LAYER_FEATURES, "layer feature count mismatch");
+    if batch == 0 {
+        return (Vec::new(), Vec::new());
+    }
+
+    scratch.xs.copy_from_flat(batch, d, xs);
+    scratch.layer_rep.resize_uninit(batch, LAYER_FEATURES);
+    for row in scratch.layer_rep.as_mut_slice().chunks_mut(LAYER_FEATURES) {
+        row.copy_from_slice(layer);
+    }
+
+    let g = &mut scratch.g;
+    g.reset();
+    let xi = g.leaf(std::mem::replace(&mut scratch.xs, Tensor::zeros(0, 0)));
+    let li = g.leaf(std::mem::replace(
+        &mut scratch.layer_rep,
+        Tensor::zeros(0, 0),
+    ));
+    let joined = g.concat_cols(xi, li);
+    let lat = latency.forward(g, joined);
+    let en = energy.forward(g, joined);
+    let lat_w = g.scale(lat.output, w_lat);
+    let en_w = g.scale(en.output, w_en);
+    let sum = g.add(lat_w, en_w);
+    let loss = g.sum_all(sum);
+    // Per-row proxy values: `loss` sums the B x 1 column, so reading the
+    // column itself gives each row's scalar (for B = 1 this is exactly
+    // the single-row path's `loss` value).
+    let values = g.value(sum).as_slice().to_vec();
+    g.backward(loss);
+    let grads = g
+        .grad(xi)
+        .expect("the input receives a gradient")
+        .as_slice()
+        .to_vec();
+    scratch.xs = g.take_value(xi);
+    scratch.layer_rep = g.take_value(li);
+    (values, grads)
 }
 
 impl VaesaModel {
@@ -373,46 +433,17 @@ impl VaesaModel {
         w_en: f64,
         scratch: &mut EdpGradBatch,
     ) -> (Vec<f64>, Vec<f64>) {
-        let dz = self.config.latent_dim;
-        assert_eq!(zs.len(), batch * dz, "latent batch layout mismatch");
-        assert_eq!(layer.len(), LAYER_FEATURES, "layer feature count mismatch");
-        if batch == 0 {
-            return (Vec::new(), Vec::new());
-        }
-
-        scratch.zs.copy_from_flat(batch, dz, zs);
-        scratch.layer_rep.resize_uninit(batch, LAYER_FEATURES);
-        for row in scratch.layer_rep.as_mut_slice().chunks_mut(LAYER_FEATURES) {
-            row.copy_from_slice(layer);
-        }
-
-        let g = &mut scratch.g;
-        g.reset();
-        let zi = g.leaf(std::mem::replace(&mut scratch.zs, Tensor::zeros(0, 0)));
-        let li = g.leaf(std::mem::replace(
-            &mut scratch.layer_rep,
-            Tensor::zeros(0, 0),
-        ));
-        let joined = g.concat_cols(zi, li);
-        let lat = self.latency_predictor.forward(g, joined);
-        let en = self.energy_predictor.forward(g, joined);
-        let lat_w = g.scale(lat.output, w_lat);
-        let en_w = g.scale(en.output, w_en);
-        let sum = g.add(lat_w, en_w);
-        let loss = g.sum_all(sum);
-        // Per-row proxy values: `loss` sums the B x 1 column, so reading the
-        // column itself gives each row's scalar (for B = 1 this is exactly
-        // the single-row path's `loss` value).
-        let values = g.value(sum).as_slice().to_vec();
-        g.backward(loss);
-        let grads = g
-            .grad(zi)
-            .expect("z receives a gradient")
-            .as_slice()
-            .to_vec();
-        scratch.zs = g.take_value(zi);
-        scratch.layer_rep = g.take_value(li);
-        (values, grads)
+        edp_grad_batch(
+            &self.latency_predictor,
+            &self.energy_predictor,
+            self.config.latent_dim,
+            zs,
+            batch,
+            layer,
+            w_lat,
+            w_en,
+            scratch,
+        )
     }
 
     /// Draws `n` latent samples from the prior `N(0, I)`.

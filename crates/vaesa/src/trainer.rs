@@ -1,4 +1,5 @@
-use crate::{Dataset, VaesaModel};
+use crate::model::edp_grad_batch;
+use crate::{Dataset, EdpGradBatch, VaesaModel};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use vaesa_nn::{randn_into, Activation, Adam, Batcher, Graph, Mlp, Tensor};
@@ -348,6 +349,34 @@ impl InputPredictors {
         g.backward(loss);
         let grad = g.grad(x).expect("hw receives gradient").clone().into_vec();
         (value, grad)
+    }
+
+    /// Batched [`InputPredictors::predicted_edp_grad`]: proxy values and
+    /// hardware-feature gradients for `batch` points stored row-major in
+    /// `hws` (`hws.len() == batch * 6`), all under the same `layer`
+    /// features. Same single-pass body, row equivalence (bitwise in f64,
+    /// tolerance-level under `VAESA_PRECISION=f32`) and scratch reuse as
+    /// [`VaesaModel::predicted_edp_grad_batch`](crate::VaesaModel::predicted_edp_grad_batch).
+    pub fn predicted_edp_grad_batch(
+        &self,
+        hws: &[f64],
+        batch: usize,
+        layer: &[f64],
+        w_lat: f64,
+        w_en: f64,
+        scratch: &mut EdpGradBatch,
+    ) -> (Vec<f64>, Vec<f64>) {
+        edp_grad_batch(
+            &self.latency,
+            &self.energy,
+            crate::HW_FEATURES,
+            hws,
+            batch,
+            layer,
+            w_lat,
+            w_en,
+            scratch,
+        )
     }
 }
 

@@ -13,7 +13,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::{Mutex, MutexGuard};
-use vaesa::{EdpGradBatch, VaesaConfig, VaesaModel};
+use vaesa::{EdpGradBatch, InputPredictors, VaesaConfig, VaesaModel, HW_FEATURES};
 use vaesa_dse::{BoxSpace, FnBatchDifferentiable, GdConfig, GradientDescent};
 use vaesa_nn::{randn, set_precision, Graph, Precision};
 
@@ -110,31 +110,51 @@ fn train_step_losses_and_gradients_track_f64() {
     assert!(worst <= 1e-3, "input-gradient drift {worst} exceeds 1e-3");
 }
 
-/// Batched EDP proxy values and z-gradients under f32 stay within 1e-3 of
-/// the f64 reference (relative on values, absolute on gradients — the
-/// gradient magnitudes are O(1) for the paper config).
+/// Batched EDP proxy values and input gradients under f32 stay within 1e-3
+/// of the f64 reference (relative on values, absolute on gradients — the
+/// gradient magnitudes are O(1) for the paper config), for both the latent
+/// `vae_gd` proxy and the input-space `gd` proxy.
 #[test]
 fn edp_proxy_predictions_track_f64() {
     let _mode = PrecisionGuard::lock();
     let model = paper_model(23);
+    let mut rng = ChaCha8Rng::seed_from_u64(24);
+    let preds = InputPredictors::new(&[64, 32], &mut rng);
     let batch = 64;
-    let dz = model.latent_dim();
     let layer = [0.4; 8];
-    let zs: Vec<f64> = (0..batch * dz).map(|i| (i as f64 * 0.37).sin()).collect();
+    assert_proxy_tracks_f64("vae_gd", batch * model.latent_dim(), |xs, scratch| {
+        model.predicted_edp_grad_batch(xs, batch, &layer, 1.0, 1.0, scratch)
+    });
+    assert_proxy_tracks_f64("gd", batch * HW_FEATURES, |xs, scratch| {
+        preds.predicted_edp_grad_batch(xs, batch, &layer, 1.0, 1.0, scratch)
+    });
+}
 
+/// Runs `proxy` on `len` deterministic inputs in f64 and then in f32 and
+/// checks the documented value/gradient tolerances.
+fn assert_proxy_tracks_f64(
+    name: &str,
+    len: usize,
+    proxy: impl Fn(&[f64], &mut EdpGradBatch) -> (Vec<f64>, Vec<f64>),
+) {
+    let xs: Vec<f64> = (0..len).map(|i| (i as f64 * 0.37).sin()).collect();
     let mut scratch = EdpGradBatch::default();
-    let (v64, g64) = model.predicted_edp_grad_batch(&zs, batch, &layer, 1.0, 1.0, &mut scratch);
+    set_precision(Precision::F64);
+    let (v64, g64) = proxy(&xs, &mut scratch);
     set_precision(Precision::F32);
-    let (v32, g32) = model.predicted_edp_grad_batch(&zs, batch, &layer, 1.0, 1.0, &mut scratch);
+    let (v32, g32) = proxy(&xs, &mut scratch);
 
     for (r, (a, b)) in v64.iter().zip(&v32).enumerate() {
         assert!(
             (a - b).abs() <= 1e-3 * (1.0 + a.abs()),
-            "proxy value row {r}: f64 {a} vs f32 {b}"
+            "{name} proxy value row {r}: f64 {a} vs f32 {b}"
         );
     }
     let worst = max_abs_diff(&g64, &g32);
-    assert!(worst <= 1e-3, "proxy gradient drift {worst} exceeds 1e-3");
+    assert!(
+        worst <= 1e-3,
+        "{name} proxy gradient drift {worst} exceeds 1e-3"
+    );
 }
 
 /// A full latent-space descent (the `vae_gd` loop) run in f32 mode lands
